@@ -805,7 +805,7 @@ fn engine_throughput(span_secs: u64, seed: u64, iters: usize) -> BenchEngine {
     }
 }
 
-/// Deep-tier lint runtime (`cargo xtask lint --deep` run in-process
+/// Deep-tier lint runtime (`cargo run -p xtask -- lint --deep` run in-process
 /// through the xtask library): the analyzer sits on the blocking CI path,
 /// so its wall time is budgeted like any other tool on that path.
 #[derive(serde::Serialize)]

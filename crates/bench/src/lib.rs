@@ -8,6 +8,7 @@ use probenet_core::{
 };
 use probenet_netdyn::{EchoServer, ExperimentConfig, RttSeries, UMD_CLOCK};
 use probenet_sim::{discover_route, Path, SimDuration};
+use probenet_stream::fnv1a_bytes;
 use probenet_traffic::FTP_PACKET_BYTES;
 use serde::Serialize;
 
@@ -140,16 +141,6 @@ pub fn golden_path(seed: u64) -> String {
     format!("{}/{GOLDEN_SCENARIO}-seed{seed}.json", golden_dir())
 }
 
-/// FNV-1a 64-bit digest, as fixed-width hex.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
 /// One δ-slice of a golden report: the headline loss and ordering metrics
 /// plus a digest over every per-probe record, so any behavioral drift —
 /// a single RTT one nanosecond off — changes the artifact byte-for-byte.
@@ -220,7 +211,7 @@ pub fn impair_slice(
         losses_look_random: looks_random,
         reordering: out.series.reordering_count(),
         probe_impair_drops: out.probe_impair_drops,
-        records_fnv1a: fnv1a_hex(records.as_bytes()),
+        records_fnv1a: fnv1a_bytes(records.as_bytes()),
     }
 }
 

@@ -75,15 +75,15 @@ where
             let results = &results;
             let f = &f;
             scope.spawn(move || loop {
-                let next = queues[w]
-                    .lock()
-                    .expect("lock poisoned")
-                    .pop_back()
-                    .or_else(|| {
-                        (0..threads)
-                            .filter(|&o| o != w)
-                            .find_map(|o| queues[o].lock().expect("lock poisoned").pop_front())
-                    });
+                // Pop the own queue in its own statement so its guard drops
+                // before stealing: an idle worker must never hold its own
+                // lock while it locks a sibling's, or two thieves deadlock.
+                let own = queues[w].lock().expect("lock poisoned").pop_back();
+                let next = own.or_else(|| {
+                    (0..threads)
+                        .filter(|&o| o != w)
+                        .find_map(|o| queues[o].lock().expect("lock poisoned").pop_front())
+                });
                 let Some(i) = next else { break };
                 let item = slots[i]
                     .lock()
@@ -159,6 +159,29 @@ mod tests {
         assert_eq!(out.len(), 20);
         for (k, (i, _)) in out.iter().enumerate() {
             assert_eq!(*i, k as u64);
+        }
+    }
+
+    #[test]
+    fn idle_workers_stealing_from_each_other_never_deadlock() {
+        // Trivial tasks leave workers idle and stealing almost at once, so
+        // lock-order bugs between siblings show up within a few thousand
+        // calls. Run on a spawned thread so a deadlock fails with a message
+        // instead of hanging the suite.
+        for width in [2, 8] {
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                for _ in 0..20_000 {
+                    let out = par_map_threads(width, (0..37u64).collect(), |x| x + 1);
+                    assert_eq!(out.len(), 37);
+                }
+                done.send(()).expect("test thread waiting");
+            });
+            finished
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|e| {
+                    panic!("par_map_threads at width {width} did not finish 20000 calls: {e}")
+                });
         }
     }
 

@@ -14,6 +14,9 @@
 
 use probenet_netdyn::RttSeries;
 use probenet_stats::{find_relative_peaks, Histogram};
+use probenet_stream::lindley::{
+    interarrival_bin_ms, interarrival_bins, interarrival_ms, workload_bytes,
+};
 use serde::{Deserialize, Serialize};
 
 /// What a peak of the interarrival distribution means.
@@ -67,7 +70,7 @@ pub fn interarrival_series(series: &RttSeries) -> Vec<f64> {
         .records
         .windows(2)
         .filter_map(|w| match (w[0].rtt, w[1].rtt) {
-            (Some(a), Some(b)) => Some((b as f64 - a as f64) / 1e6 + delta),
+            (Some(a), Some(b)) => Some(interarrival_ms(a, b, delta)),
             _ => None,
         })
         .collect()
@@ -79,7 +82,7 @@ pub fn workload_estimates(series: &RttSeries, mu_bps: f64) -> Vec<f64> {
     let p_bits = series.wire_bytes as f64 * 8.0;
     interarrival_series(series)
         .into_iter()
-        .map(|g_ms| ((mu_bps * g_ms / 1e3 - p_bits) / 8.0).max(0.0))
+        .map(|g_ms| workload_bytes(g_ms, mu_bps, p_bits))
         .collect()
 }
 
@@ -107,9 +110,8 @@ pub fn analyze_workload(
     let service_ms = p_bits / mu_bps * 1e3;
     let g = interarrival_series(series);
 
-    let resolution_ms = series.clock_resolution_ns as f64 / 1e6;
-    let bin = resolution_ms.max(0.5);
-    let bins = ((max_ms / bin).ceil() as usize).max(10);
+    let bin = interarrival_bin_ms(series.clock_resolution_ns);
+    let bins = interarrival_bins(max_ms, series.clock_resolution_ns);
     let histogram = Histogram::from_data(&g, 0.0, max_ms, bins);
     let freqs = histogram.frequencies();
     let raw_peaks = find_relative_peaks(&freqs, 0.02, 2, 1);
@@ -146,7 +148,7 @@ pub fn analyze_workload(
                 position_ms,
                 height: p.height,
                 label,
-                implied_workload_bytes: ((mu_bps * position_ms / 1e3 - p_bits) / 8.0).max(0.0),
+                implied_workload_bytes: workload_bytes(position_ms, mu_bps, p_bits),
             }
         })
         .collect();

@@ -4,8 +4,8 @@
 
 use crate::acf::WindowedAcf;
 use crate::fnv::fnv1a_u64s;
-use crate::lindley::{StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
-use crate::loss::{LossSnapshot, LossWireState, StreamingLoss};
+use crate::lindley::{interarrival_bins, StreamingWorkload, WorkloadSnapshot, WorkloadWireState};
+use crate::loss::{LossAnalysis, LossWireState, StreamingLoss};
 use crate::phase::{PhaseDensity, PhaseSnapshot, PhaseWireState};
 use crate::quantile::LogQuantileSketch;
 use crate::record::StreamRecord;
@@ -76,13 +76,11 @@ pub struct BankWireState {
 }
 
 impl BankConfig {
-    /// The workload histogram bin count this config derives — exactly the
-    /// [`StreamingWorkload::new`] layout rule, exposed so decoders can
-    /// verify a claimed bin count without allocating it first.
+    /// The workload histogram bin count this config derives — the
+    /// [`StreamingWorkload::new`] layout, exposed so decoders can verify a
+    /// claimed bin count without allocating it first.
     pub fn workload_bins(&self) -> usize {
-        let resolution_ms = self.clock_resolution_ns as f64 / 1e6;
-        let bin = resolution_ms.max(0.5);
-        ((self.workload_max_ms / bin).ceil() as usize).max(10)
+        interarrival_bins(self.workload_max_ms, self.clock_resolution_ns)
     }
 
     /// Check every constructor precondition the bank's estimators assert,
@@ -192,7 +190,7 @@ pub struct BankSnapshot {
     /// Probes lost.
     pub lost: u64,
     /// Loss-process metrics (batch-exact).
-    pub loss: LossSnapshot,
+    pub loss: LossAnalysis,
     /// Delay summary, `None` when nothing was delivered.
     pub rtt: Option<RttSummary>,
     /// ACF of the (windowed) delivered-RTT series up to the configured lag.

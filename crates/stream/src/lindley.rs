@@ -19,6 +19,33 @@ use crate::fnv::fnv1a_u64s;
 use probenet_stats::Histogram;
 use serde::{Deserialize, Serialize};
 
+/// The interarrival histogram's nominal bin width in ms: one probe-clock
+/// tick, but no finer than 0.5 ms.
+pub fn interarrival_bin_ms(clock_resolution_ns: u64) -> f64 {
+    (clock_resolution_ns as f64 / 1e6).max(0.5)
+}
+
+/// The interarrival histogram's bin count over `[0, max_ms)`:
+/// `max(ceil(max_ms / bin), 10)` with `bin` from [`interarrival_bin_ms`].
+/// Batch and streaming workload analyses share this layout, so their
+/// histograms agree count for count.
+pub fn interarrival_bins(max_ms: f64, clock_resolution_ns: u64) -> usize {
+    ((max_ms / interarrival_bin_ms(clock_resolution_ns)).ceil() as usize).max(10)
+}
+
+/// The return interarrival time `g_n = (rtt_{n+1} − rtt_n)/1e6 + δ` in ms
+/// of two consecutive delivered probes with RTTs in ns.
+pub fn interarrival_ms(rtt_ns: u64, next_rtt_ns: u64, delta_ms: f64) -> f64 {
+    (next_rtt_ns as f64 - rtt_ns as f64) / 1e6 + delta_ms
+}
+
+/// Equation (6): the workload `b̂_n = ((μ·g_n/1e3 − P)/8)⁺` in bytes that
+/// an interarrival of `g_ms` implies at bottleneck rate `mu_bps` for
+/// probes of `p_bits` bits, clamped at zero (the buffer emptied).
+pub fn workload_bytes(g_ms: f64, mu_bps: f64, p_bits: f64) -> f64 {
+    ((mu_bps * g_ms / 1e3 - p_bits) / 8.0).max(0.0)
+}
+
 /// Streaming interarrival/workload estimator for one probe session.
 #[derive(Debug, Clone)]
 pub struct StreamingWorkload {
@@ -89,8 +116,7 @@ pub struct WorkloadWireState {
 
 impl StreamingWorkload {
     /// A new estimator with the batch analyzer's histogram layout:
-    /// `[0, max_ms)` split into `max(ceil(max_ms / max(resolution, 0.5 ms)),
-    /// 10)` bins.
+    /// `[0, max_ms)` split into [`interarrival_bins`] bins.
     ///
     /// # Panics
     /// Panics if `mu_bps` or `max_ms` is not positive.
@@ -102,14 +128,11 @@ impl StreamingWorkload {
         max_ms: f64,
     ) -> Self {
         assert!(mu_bps > 0.0 && max_ms > 0.0, "positive parameters");
-        let resolution_ms = clock_resolution_ns as f64 / 1e6;
-        let bin = resolution_ms.max(0.5);
-        let bins = ((max_ms / bin).ceil() as usize).max(10);
         StreamingWorkload {
             delta_ms,
             mu_bps,
             p_bits: wire_bytes as f64 * 8.0,
-            hist: Histogram::new(0.0, max_ms, bins),
+            hist: Histogram::new(0.0, max_ms, interarrival_bins(max_ms, clock_resolution_ns)),
             b_sum: 0.0,
             pairs: 0,
             first: None,
@@ -130,9 +153,9 @@ impl StreamingWorkload {
 
     fn fold_pair(&mut self, prev: Option<u64>, cur: Option<u64>) {
         if let (Some(a), Some(b)) = (prev, cur) {
-            let g_ms = (b as f64 - a as f64) / 1e6 + self.delta_ms;
+            let g_ms = interarrival_ms(a, b, self.delta_ms);
             self.hist.add(g_ms);
-            self.b_sum += ((self.mu_bps * g_ms / 1e3 - self.p_bits) / 8.0).max(0.0);
+            self.b_sum += workload_bytes(g_ms, self.mu_bps, self.p_bits);
             self.pairs += 1;
         }
     }

@@ -1,24 +1,25 @@
 //! Streaming loss-process characterization: Bolot's `ulp` / `clp` / `plg`
 //! triple, run-length distribution, and randomness tests — from O(1) state.
 //!
-//! Everything the batch analyzer (`probenet_core::analyze_loss_flags`)
-//! derives from a loss indicator sequence is a function of a small segment
-//! summary: total counts, the four lag-1 transition counts, and the loss
-//! runs split into *boundary* runs (touching the segment's ends, which may
-//! still grow or fuse when segments are concatenated) and *interior* runs
-//! (closed on both sides, immutable). That summary forms a monoid: two
+//! Every loss metric of an indicator sequence is a function of a small
+//! segment summary: total counts, the four lag-1 transition counts, and the
+//! loss runs split into *boundary* runs (touching the segment's ends, which
+//! may still grow or fuse when segments are concatenated) and *interior*
+//! runs (closed on both sides, immutable). That summary forms a monoid: two
 //! adjacent segments merge by adding counts, adding the junction transition
 //! pair, and fusing the left segment's tail run with the right segment's
 //! head run. Because every retained quantity is an integer, `merge` is
 //! **exact and associative** — the collector can fold per-session segments
-//! in any grouping and reproduce the batch analysis byte-for-byte.
+//! in any grouping and get the bytes of one sequential fold. That fold is
+//! also the batch analyzer: `probenet_core::analyze_loss_flags` pushes a
+//! whole sequence and takes the snapshot.
 
 use probenet_stats::{lag1_independence_from_counts, runs_test_from_counts};
 use serde::{Deserialize, Serialize};
 
 /// Online loss-process estimator over a loss indicator stream
 /// (`true` = probe lost). Push flags in sequence order; `snapshot()`
-/// reproduces the batch `analyze_loss_flags` output exactly.
+/// reports the [`LossAnalysis`] of everything pushed so far.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamingLoss {
     sent: u64,
@@ -43,34 +44,38 @@ pub struct StreamingLoss {
     closed: Vec<u64>,
 }
 
-/// Snapshot of [`StreamingLoss`]: the same quantities, same `None`
-/// conventions, and (for counts and ratios) the same bit patterns as the
-/// batch `LossAnalysis`.
+/// Loss metrics of one probe series: the paper's `ulp` / `clp` / `plg`
+/// triple, the run-length distribution and two randomness tests. This is
+/// what [`StreamingLoss::snapshot`] reports and what
+/// `probenet_core::analyze_loss_flags` returns.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LossSnapshot {
+pub struct LossAnalysis {
     /// Probes sent.
     pub sent: usize,
     /// Probes lost.
     pub lost: usize,
     /// Unconditional loss probability.
     pub ulp: f64,
-    /// Conditional loss probability `P(loss_{n+1} | loss_n)`.
+    /// Conditional loss probability `P(loss_{n+1} | loss_n)`; `None` when
+    /// no probe except possibly the last was lost (undefined conditioning).
     pub clp: Option<f64>,
-    /// Mean observed loss-run length.
+    /// Mean observed run of consecutive losses (`None` without losses).
     pub plg_measured: Option<f64>,
-    /// Palm prediction `1 / (1 − clp)`.
+    /// The Palm identity prediction `1 / (1 − clp)`.
     pub plg_palm: Option<f64>,
-    /// `run_lengths[k]` = number of maximal runs of exactly `k + 1` losses.
+    /// Distribution of loss-run lengths (`run_lengths[k]` = number of
+    /// maximal runs of exactly `k + 1` consecutive losses).
     pub run_lengths: Vec<usize>,
-    /// Wald–Wolfowitz runs test on the indicator sequence.
-    pub runs_test: Option<RunsTestSnapshot>,
-    /// χ² lag-1 independence test.
-    pub lag1_test: Option<Chi2Snapshot>,
+    /// Wald–Wolfowitz runs test on the loss indicator sequence (`None` for
+    /// degenerate sequences).
+    pub runs_test: Option<RunsTestSummary>,
+    /// χ² lag-1 independence test (`None` for degenerate sequences).
+    pub lag1_test: Option<Chi2Summary>,
 }
 
-/// Serializable runs-test summary (mirrors the batch `RunsTestSummary`).
+/// Serializable summary of a runs test.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RunsTestSnapshot {
+pub struct RunsTestSummary {
     /// Observed runs.
     pub runs: usize,
     /// Expected runs under independence.
@@ -81,13 +86,25 @@ pub struct RunsTestSnapshot {
     pub p_value: f64,
 }
 
-/// Serializable χ² summary (mirrors the batch `Chi2Summary`).
+/// Serializable summary of a χ² test.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Chi2Snapshot {
+pub struct Chi2Summary {
     /// χ²(1) statistic.
     pub statistic: f64,
     /// p-value.
     pub p_value: f64,
+}
+
+impl LossAnalysis {
+    /// The paper's random-loss verdict: losses look independent when the
+    /// lag-1 χ² test does not reject at the given significance level
+    /// (and trivially when there are too few losses to test).
+    pub fn losses_look_random(&self, alpha: f64) -> bool {
+        match &self.lag1_test {
+            Some(t) => t.p_value > alpha,
+            None => true,
+        }
+    }
 }
 
 /// The raw [`StreamingLoss`] segment summary: exactly the internal fields,
@@ -355,9 +372,8 @@ impl StreamingLoss {
         })
     }
 
-    /// Current loss metrics — bit-identical to
-    /// `probenet_core::analyze_loss_flags` over the pushed sequence.
-    pub fn snapshot(&self) -> LossSnapshot {
+    /// Current loss metrics of the pushed sequence.
+    pub fn snapshot(&self) -> LossAnalysis {
         let sent = self.sent as usize;
         let lost = self.lost as usize;
         let ulp = if sent == 0 {
@@ -405,7 +421,7 @@ impl StreamingLoss {
         // plus one per adjacent unequal pair.
         let ww_runs = (1 + self.n01 + self.n10) as usize;
         let runs_test =
-            runs_test_from_counts(lost, sent - lost, ww_runs).map(|r| RunsTestSnapshot {
+            runs_test_from_counts(lost, sent - lost, ww_runs).map(|r| RunsTestSummary {
                 runs: r.runs,
                 expected: r.expected,
                 z: r.z,
@@ -413,13 +429,13 @@ impl StreamingLoss {
             });
         let lag1_test =
             lag1_independence_from_counts(self.n00, self.n01, self.n10, self.n11).map(|t| {
-                Chi2Snapshot {
+                Chi2Summary {
                     statistic: t.statistic,
                     p_value: t.p_value,
                 }
             });
 
-        LossSnapshot {
+        LossAnalysis {
             sent,
             lost,
             ulp,
@@ -437,8 +453,7 @@ impl StreamingLoss {
 mod tests {
     use super::*;
 
-    /// Reference reimplementation of the batch analyzer's run accounting
-    /// (can't depend on probenet-core here — that would be a cycle).
+    /// Reference run accounting by a direct scan of the whole sequence.
     fn batch_runs(flags: &[bool]) -> Vec<usize> {
         let mut raw = Vec::new();
         let mut cur = 0usize;

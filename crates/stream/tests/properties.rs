@@ -3,7 +3,7 @@
 //! batch references (the full-pipeline differential comparison against
 //! `probenet-core` lives in the workspace-level `tests/streaming.rs`).
 
-use probenet_stats::{autocorrelation, Histogram, Moments};
+use probenet_stats::{autocorrelation, lag1_independence, runs_test, Histogram, Moments};
 use probenet_stream::{
     BankConfig, EstimatorBank, LogQuantileSketch, StreamRecord, StreamingLoss, StreamingWorkload,
     WindowedAcf,
@@ -124,7 +124,9 @@ proptest! {
     }
 
     /// StreamingLoss against an inline batch reference computed from the
-    /// flag vector (counts, conditionals, run lengths).
+    /// flag vector (counts, ratios, run lengths, randomness tests). This is
+    /// the one loss oracle that does not run `StreamingLoss` itself: the
+    /// batch `analyze_loss_flags` is a `StreamingLoss` fold.
     #[test]
     fn streaming_loss_matches_inline_batch(rtts in rtts_strategy()) {
         let flags: Vec<bool> = rtts.iter().map(|r| r.is_none()).collect();
@@ -137,6 +139,8 @@ proptest! {
         let lost = flags.iter().filter(|&&f| f).count();
         prop_assert_eq!(snap.sent, flags.len());
         prop_assert_eq!(snap.lost, lost);
+        let ulp = if flags.is_empty() { 0.0 } else { lost as f64 / flags.len() as f64 };
+        prop_assert_eq!(snap.ulp, ulp);
 
         // Run lengths: maximal runs of consecutive losses.
         let mut runs: Vec<usize> = Vec::new();
@@ -165,11 +169,33 @@ proptest! {
             Some(clp) => {
                 prop_assert!(n10 + n11 > 0);
                 prop_assert_eq!(clp, n11 as f64 / (n10 + n11) as f64);
+                // Palm identity: plg = 1 / (1 − clp), undefined at clp = 1.
+                let palm = if clp < 1.0 { Some(1.0 / (1.0 - clp)) } else { None };
+                prop_assert_eq!(snap.plg_palm, palm);
             }
-            None => prop_assert_eq!(n10 + n11, 0),
+            None => {
+                prop_assert_eq!(n10 + n11, 0);
+                prop_assert_eq!(snap.plg_palm, None);
+            }
         }
         if !runs.is_empty() {
             prop_assert_eq!(snap.plg_measured, Some(lost as f64 / runs.len() as f64));
+        }
+
+        // Randomness tests against the slice-based statistics entry points.
+        let runs_ref = runs_test(&flags);
+        prop_assert_eq!(snap.runs_test.is_some(), runs_ref.is_some());
+        if let (Some(got), Some(want)) = (snap.runs_test, runs_ref) {
+            prop_assert_eq!(got.runs, want.runs);
+            prop_assert_eq!(got.expected, want.expected);
+            prop_assert_eq!(got.z, want.z);
+            prop_assert_eq!(got.p_value, want.p_value);
+        }
+        let lag1_ref = lag1_independence(&flags);
+        prop_assert_eq!(snap.lag1_test.is_some(), lag1_ref.is_some());
+        if let (Some(got), Some(want)) = (snap.lag1_test, lag1_ref) {
+            prop_assert_eq!(got.statistic, want.statistic);
+            prop_assert_eq!(got.p_value, want.p_value);
         }
     }
 

@@ -191,14 +191,14 @@ scheduling-dependent until proven otherwise.",
         id: "tainted-artifact-path",
         summary: "deep tier: no call chain from a nondeterminism source to an artifact sink",
         explain: "\
-This is the interprocedural tier (`cargo xtask lint --deep`): a from-
-scratch lexer and call-graph walk over the whole workspace, classifying
-nondeterminism *sources* (wall-clock reads, ambient RNG, HashMap/HashSet
-iteration, thread-id/env reads, address-as-value casts) and artifact
-*sinks* (report/JSON serializers, wire::snapshot encoders, golden writers,
---bench-json emitters), and reporting every source that can reach a sink
-through the call graph — the laundered-through-a-helper case the shallow
-line rules provably cannot see.
+This is the interprocedural tier (`cargo run -p xtask -- lint --deep`): a
+from-scratch lexer and call-graph walk over the whole workspace,
+classifying nondeterminism *sources* (wall-clock reads, ambient RNG,
+HashMap/HashSet iteration, thread-id/env reads, address-as-value casts)
+and artifact *sinks* (report/JSON serializers, wire::snapshot encoders,
+golden writers, --bench-json emitters), and reporting every source that
+can reach a sink through the call graph — the laundered-through-a-helper
+case the shallow line rules provably cannot see.
 
 The diagnostic anchors at the source site and prints the full call chain
 to the sink. Shallow per-rule allows do NOT silence this rule: a wall-

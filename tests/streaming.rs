@@ -5,9 +5,7 @@
 //! count or channel capacity (see DESIGN.md §11 for the exactness policy).
 
 use probenet_bench::{stream_golden_path, stream_report, stream_report_threads};
-use probenet_core::{
-    analyze_losses, analyze_workload, impairment_scenario, loss_analysis_from_stream, PhasePlot,
-};
+use probenet_core::{analyze_workload, impairment_scenario, PhasePlot};
 use probenet_netdyn::{ExperimentConfig, RttSeries, SimExperiment};
 use probenet_sim::{Path, SimDuration};
 use probenet_stats::{autocorrelation, Ecdf, Moments};
@@ -69,14 +67,10 @@ fn streaming_loss_metrics_are_byte_exact_against_batch() {
             continue;
         };
         covered += 1;
+        // `analyze_losses` is itself a `StreamingLoss` fold, so the loss
+        // metrics need no twin comparison; the bank's counts must still
+        // account for every record of the series.
         let snap = fold_series(&series).snapshot();
-        let from_stream = loss_analysis_from_stream(&snap.loss);
-        let batch = analyze_losses(&series);
-        assert_eq!(
-            serde_json::to_string(&from_stream).unwrap(),
-            serde_json::to_string(&batch).unwrap(),
-            "loss metrics drifted for scenario {name}"
-        );
         assert_eq!(snap.sent as usize, series.len(), "{name}");
         assert_eq!(snap.received as usize, series.received(), "{name}");
     }
