@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use probenet_netdyn::{ExperimentConfig, SimExperiment};
 use probenet_queueing::{finite_queue, waiting_times};
-use probenet_sim::{BinaryHeapQueue, Direction, Engine, EventQueue, Path, SimDuration, SimTime};
+use probenet_sim::{Direction, Engine, EventQueue, Path, SimDuration, SimTime};
 use probenet_traffic::InternetMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,52 +31,45 @@ fn bench_event_queue(c: &mut Criterion) {
 /// schedules a couple of follow-ups — mostly time-local (transmission /
 /// propagation scale), occasionally far ahead (pre-injected probe
 /// schedules) — so the indexed queue's buckets, in-run splices and
-/// overflow epochs all get exercised. Identical deterministic workload
-/// for both queues; the `_indexed` vs `_binary_heap` ratio is the
-/// data-structure speedup.
+/// overflow epochs all get exercised.
 const MIXED_EVENTS: u64 = 1_000_000;
 
-macro_rules! drive_mixed {
-    ($queue:expr) => {{
-        let mut q = $queue;
-        // Seed the cascade with far-apart roots, as probe pre-injection does.
-        for i in 0..1000u64 {
-            q.schedule(SimTime::from_nanos(i * 120_000_000), i);
-        }
-        let mut scheduled = 1000u64;
-        let mut acc = 0u64;
-        while let Some((at, e)) = q.pop() {
-            acc = acc.wrapping_add(e);
-            if scheduled < MIXED_EVENTS {
-                // Two time-local follow-ups (same/adjacent bucket)...
-                let jitter = (e.wrapping_mul(2_654_435_761)) % 400_000;
-                q.schedule(at + SimDuration::from_nanos(jitter), scheduled);
+fn drive_mixed() -> u64 {
+    let mut q = EventQueue::new();
+    // Seed the cascade with far-apart roots, as probe pre-injection does.
+    for i in 0..1000u64 {
+        q.schedule(SimTime::from_nanos(i * 120_000_000), i);
+    }
+    let mut scheduled = 1000u64;
+    let mut acc = 0u64;
+    while let Some((at, e)) = q.pop() {
+        acc = acc.wrapping_add(e);
+        if scheduled < MIXED_EVENTS {
+            // Two time-local follow-ups (same/adjacent bucket)...
+            let jitter = (e.wrapping_mul(2_654_435_761)) % 400_000;
+            q.schedule(at + SimDuration::from_nanos(jitter), scheduled);
+            q.schedule(
+                at + SimDuration::from_nanos(50_000 + jitter / 2),
+                scheduled + 1,
+            );
+            scheduled += 2;
+            // ...and occasionally one far-future event (overflow epoch).
+            if e % 64 == 0 {
                 q.schedule(
-                    at + SimDuration::from_nanos(50_000 + jitter / 2),
-                    scheduled + 1,
+                    at + SimDuration::from_nanos(2_000_000_000 + jitter),
+                    scheduled,
                 );
-                scheduled += 2;
-                // ...and occasionally one far-future event (overflow epoch).
-                if e % 64 == 0 {
-                    q.schedule(
-                        at + SimDuration::from_nanos(2_000_000_000 + jitter),
-                        scheduled,
-                    );
-                    scheduled += 1;
-                }
+                scheduled += 1;
             }
         }
-        black_box(acc)
-    }};
+    }
+    black_box(acc)
 }
 
-fn bench_queue_shootout(c: &mut Criterion) {
+fn bench_queue_mixed(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue_1m_mixed");
     g.sample_size(10);
-    g.bench_function("indexed", |b| b.iter(|| drive_mixed!(EventQueue::new())));
-    g.bench_function("binary_heap", |b| {
-        b.iter(|| drive_mixed!(BinaryHeapQueue::new()))
-    });
+    g.bench_function("indexed", |b| b.iter(drive_mixed));
     g.finish();
 }
 
@@ -142,7 +135,7 @@ fn bench_lindley(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
-    bench_queue_shootout,
+    bench_queue_mixed,
     bench_engine_probes_only,
     bench_engine_loaded,
     bench_sim_experiment,

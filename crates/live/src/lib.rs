@@ -3,10 +3,12 @@
 //! The reactor-based live probe engine: one thread, one `epoll` loop,
 //! thousands of concurrent probe sessions.
 //!
-//! The thread-per-session prober in `probenet-netdyn` tops out at tens of
-//! sessions before scheduler jitter swamps the pacing; fleet-scale
-//! measurement (ETOMIC-style meshes) needs an event-driven engine. This
-//! crate provides it:
+//! A thread-per-session prober tops out at tens of sessions before
+//! scheduler jitter swamps the pacing; fleet-scale measurement
+//! (ETOMIC-style meshes) needs an event-driven engine. This crate provides
+//! it, and it is the only engine that sends real probes: the
+//! `probenet-netdyn` client runs as a one-session reactor. It is Linux-only
+//! (epoll); elsewhere [`Reactor::new`] returns `Unsupported`.
 //!
 //! * a **readiness loop** over the vendored [`rawpoll`] epoll shim, with a
 //!   self-pipe for control/shutdown wakeups that bypass the data path;
@@ -191,8 +193,8 @@ pub fn run_sessions<F: FnMut(SessionOutcome)>(
 }
 
 /// Quantize a measurement to a clock of `resolution_ns` (floor; 0 =
-/// identity) — the same arithmetic `probenet-netdyn` applies, kept in sync
-/// by the reactor-vs-thread differential test.
+/// identity): the floor rule of `probenet_netdyn::quantize`, and the only
+/// quantizer on the real-UDP path.
 pub(crate) fn quantize_ns(ns: u64, resolution_ns: u64) -> u64 {
     match resolution_ns {
         0 => ns,

@@ -692,8 +692,8 @@ impl Reactor {
         let session = &mut self.sessions[idx];
         let n = usize::try_from(n).expect("probe number fits usize");
         if n >= session.rtts.len() {
-            // Same accounting as the thread prober: an in-format reply
-            // naming a probe that was never sent is a decode error.
+            // An in-format reply naming a probe that was never sent is a
+            // decode error.
             session.decode_errors += 1;
             return;
         }

@@ -11,8 +11,9 @@
 //!   discrete-event simulator against calibrated paths and cross traffic
 //!   (how the paper's figures are regenerated);
 //! * [`udp`] — a real UDP echo server and probing client over `std::net`
-//!   sockets, usable on actual networks, with Bernoulli fault injection for
-//!   testing.
+//!   sockets, usable on actual networks (Linux only: the client runs on
+//!   the `probenet-live` epoll reactor), with Bernoulli fault injection
+//!   for testing.
 //!
 //! [`config`] holds the experiment parameters (the paper's §2: 32-byte
 //! probes, δ ∈ {8, 20, 50, 100, 200, 500} ms, 10-minute runs, DECstation
@@ -42,6 +43,6 @@ pub use csv::{from_csv, to_csv, CsvError};
 pub use series::{measured_rtt, quantize, quantized_rtt, skew, RttRecord, RttSeries};
 pub use sim_driver::{recycle_engine, recycle_run, CrossTrafficBinding, SimExperiment, SimRun};
 pub use udp::{
-    run_probes, run_probes_with_sink, run_probes_with_sink_legacy, send_probes_via,
-    DestinationCollector, EchoServer, EchoServerStats, ProbeRunStats,
+    run_probes, run_probes_with_sink, send_probes_via, DestinationCollector, EchoServer,
+    EchoServerStats, ProbeRunStats,
 };

@@ -1,5 +1,7 @@
 //! The real-network probe tool: a UDP echo server and a probing client
-//! over `std::net` sockets.
+//! over `std::net` sockets, with every probe paced and received by the
+//! `probenet-live` epoll reactor. Real-UDP probing is Linux-only: on other
+//! platforms the servers and the client return `Unsupported`.
 //!
 //! This is a working NetDyn clone (§2 of the paper): the client sends
 //! 32-byte probe packets at a fixed interval, the echo host stamps and
@@ -21,7 +23,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use probenet_live::{LiveConfig, Reactor, SessionSpec};
-use probenet_sim::SimDuration;
 use probenet_stream::SessionKey;
 use probenet_wire::{ProbePacket, Timestamp48, PROBE_PAYLOAD_BYTES};
 use rand::rngs::StdRng;
@@ -32,79 +33,109 @@ use std::sync::Mutex;
 use crate::config::ExperimentConfig;
 use crate::series::{RttRecord, RttSeries};
 
-/// How a server thread sleeps between datagrams: event-driven where the
-/// platform has epoll, a bounded read-timeout poll elsewhere.
-///
-/// The event-driven arm is what makes shutdown cheap *and* prompt: the
-/// socket and a self-pipe share one epoll set, the thread blocks with no
-/// timeout at all, and [`ServerWaiter::wake`] (one byte down the pipe)
-/// bounds the join by a loop iteration instead of a 20 ms spin period.
-enum ServerWaiter {
-    /// Block on epoll until the socket is readable or the pipe is written.
-    Event { epoll: Epoll, pipe: WakePipe },
-    /// Legacy fallback: non-epoll platforms poll with a read timeout.
-    Timeout,
+/// How a server thread sleeps between datagrams: the socket and a
+/// self-pipe share one epoll set, the thread blocks with no timeout at all,
+/// and a wake (one byte down the pipe) bounds the shutdown join by a loop
+/// iteration.
+struct ServerWaiter {
+    epoll: Epoll,
+    pipe: WakePipe,
 }
 
 impl ServerWaiter {
-    /// Prepare `socket` for serving: epoll registration + non-blocking
-    /// mode where available, a 20 ms read timeout otherwise.
+    /// Prepare `socket` for serving: non-blocking mode plus epoll
+    /// registration. `Unsupported` on platforms without epoll.
     fn install(socket: &UdpSocket) -> io::Result<ServerWaiter> {
-        match Epoll::new() {
-            Ok(epoll) => {
-                let pipe = WakePipe::new()?;
-                socket.set_nonblocking(true)?;
-                epoll.add(socket.as_raw_fd(), 0, Interest::READ)?;
-                epoll.add(pipe.read_fd(), 1, Interest::READ)?;
-                Ok(ServerWaiter::Event { epoll, pipe })
-            }
-            Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-                socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-                Ok(ServerWaiter::Timeout)
-            }
-            Err(e) => Err(e),
-        }
+        let epoll = Epoll::new()?;
+        let pipe = WakePipe::new()?;
+        socket.set_nonblocking(true)?;
+        epoll.add(socket.as_raw_fd(), 0, Interest::READ)?;
+        epoll.add(pipe.read_fd(), 1, Interest::READ)?;
+        Ok(ServerWaiter { epoll, pipe })
     }
 
-    /// The cross-thread wake handle (None in timeout mode, where the read
-    /// timeout itself bounds the wait).
-    fn wake_handle(&self) -> Option<WakeHandle> {
-        match self {
-            ServerWaiter::Event { pipe, .. } => Some(pipe.handle()),
-            ServerWaiter::Timeout => None,
-        }
+    /// The cross-thread wake handle.
+    fn wake_handle(&self) -> WakeHandle {
+        self.pipe.handle()
     }
 
     /// Park until the socket may be readable (or a wake arrives). Returns
     /// `false` when the server loop should exit.
     fn park(&self, events: &mut Events) -> bool {
-        match self {
-            ServerWaiter::Event { epoll, pipe } => {
-                let ok = epoll.wait(events, -1).is_ok();
-                pipe.drain();
-                ok
-            }
-            // Timeout mode parks inside recv_from itself.
-            ServerWaiter::Timeout => true,
-        }
+        let ok = self.epoll.wait(events, -1).is_ok();
+        self.pipe.drain();
+        ok
     }
 
     /// Whether `recv` just returned "nothing yet" (and the caller should
     /// park) rather than a real failure.
     fn is_idle(err: &io::Error) -> bool {
-        matches!(
-            err.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        )
+        err.kind() == io::ErrorKind::WouldBlock
     }
 }
 
-/// Fan-out of a server shutdown: flip the flag, then poke the self-pipe so
-/// an event-driven loop notices immediately.
-fn signal_shutdown(flag: &AtomicBool, wake: Option<&WakeHandle>) {
-    flag.store(true, Ordering::SeqCst);
-    if let Some(w) = wake {
-        w.wake();
+/// A server thread: one socket, parked on a [`ServerWaiter`] between
+/// datagrams, handing each one to a handler until stopped. Dropping it
+/// stops and joins the thread.
+#[derive(Debug)]
+struct ServerThread {
+    local_addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    wake: WakeHandle,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl ServerThread {
+    /// Bind to `addr` and call `on_datagram(socket, bytes, sender)` for
+    /// every datagram on a new thread.
+    fn spawn<A, F>(addr: A, mut on_datagram: F) -> io::Result<ServerThread>
+    where
+        A: ToSocketAddrs,
+        F: FnMut(&UdpSocket, &[u8], SocketAddr) + Send + 'static,
+    {
+        let socket = UdpSocket::bind(addr)?;
+        let waiter = ServerWaiter::install(&socket)?;
+        let wake = waiter.wake_handle();
+        let local_addr = socket.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&shutdown);
+        let handle = std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            let mut events = Events::with_capacity(4);
+            while !stop.load(Ordering::SeqCst) {
+                match socket.recv_from(&mut buf) {
+                    Ok((len, peer)) => on_datagram(&socket, &buf[..len], peer),
+                    Err(e) if ServerWaiter::is_idle(&e) => {
+                        if !waiter.park(&mut events) {
+                            break;
+                        }
+                    }
+                    Err(_) => break,
+                }
+            }
+        });
+        Ok(ServerThread {
+            local_addr,
+            shutdown,
+            wake,
+            handle: Some(handle),
+        })
+    }
+
+    /// Flip the flag, poke the self-pipe so the loop notices immediately,
+    /// and join. Idempotent.
+    fn stop(&mut self) {
+        if let Some(h) = self.handle.take() {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.wake.wake();
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for ServerThread {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -128,11 +159,8 @@ pub struct EchoServerStats {
 /// to the sender. Runs on its own thread until dropped or shut down.
 #[derive(Debug)]
 pub struct EchoServer {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    wake: Option<WakeHandle>,
     stats: Arc<Mutex<EchoServerStats>>,
-    handle: Option<JoinHandle<()>>,
+    thread: ServerThread,
 }
 
 impl EchoServer {
@@ -177,39 +205,32 @@ impl EchoServer {
             (0.0..=1.0).contains(&drop_probability),
             "drop probability out of range"
         );
-        let socket = UdpSocket::bind(addr)?;
-        let waiter = ServerWaiter::install(&socket)?;
-        let wake = waiter.wake_handle();
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(EchoServerStats::default()));
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                echo_loop(
-                    socket,
-                    waiter,
-                    shutdown,
-                    stats,
-                    drop_probability,
-                    seed,
-                    forward_to,
-                );
-            })
-        };
-        Ok(EchoServer {
-            local_addr,
-            shutdown,
-            wake,
-            stats,
-            handle: Some(handle),
-        })
+        let counters = Arc::clone(&stats);
+        let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for echo timestamps
+        let mut rng = StdRng::seed_from_u64(seed);
+        let thread = ServerThread::spawn(addr, move |socket, bytes, peer| {
+            let Ok(mut probe) = ProbePacket::decode(bytes) else {
+                counters.lock().expect("lock poisoned").decode_errors += 1;
+                return;
+            };
+            // One draw per decoded probe, in arrival order.
+            if drop_probability > 0.0 && rng.gen::<f64>() < drop_probability {
+                counters.lock().expect("lock poisoned").dropped += 1;
+                return;
+            }
+            probe.echo_ts = monotonic_micros(epoch);
+            let target = forward_to.unwrap_or(peer);
+            if socket.send_to(&probe.to_bytes(), target).is_ok() {
+                counters.lock().expect("lock poisoned").echoed += 1;
+            }
+        })?;
+        Ok(EchoServer { stats, thread })
     }
 
     /// The bound address (with the kernel-chosen port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.thread.local_addr
     }
 
     /// Snapshot of the server counters.
@@ -219,64 +240,7 @@ impl EchoServer {
 
     /// Stop the server thread and wait for it to exit.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        signal_shutdown(&self.shutdown, self.wake.as_ref());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for EchoServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn echo_loop(
-    socket: UdpSocket,
-    waiter: ServerWaiter,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<Mutex<EchoServerStats>>,
-    drop_probability: f64,
-    seed: u64,
-    forward_to: Option<SocketAddr>,
-) {
-    let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for echo timestamps
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = [0u8; 2048];
-    let mut events = Events::with_capacity(4);
-    while !shutdown.load(Ordering::SeqCst) {
-        let (len, peer) = match socket.recv_from(&mut buf) {
-            Ok(x) => x,
-            Err(e) if ServerWaiter::is_idle(&e) => {
-                if waiter.park(&mut events) {
-                    continue;
-                }
-                break;
-            }
-            Err(_) => break,
-        };
-        match ProbePacket::decode(&buf[..len]) {
-            Ok(mut probe) => {
-                if drop_probability > 0.0 && rng.gen::<f64>() < drop_probability {
-                    stats.lock().expect("lock poisoned").dropped += 1;
-                    continue;
-                }
-                probe.echo_ts = monotonic_micros(epoch);
-                let out = probe.to_bytes();
-                let target = forward_to.unwrap_or(peer);
-                if socket.send_to(&out, target).is_ok() {
-                    stats.lock().expect("lock poisoned").echoed += 1;
-                }
-            }
-            Err(_) => {
-                stats.lock().expect("lock poisoned").decode_errors += 1;
-            }
-        }
+        self.thread.stop();
     }
 }
 
@@ -291,59 +255,28 @@ fn echo_loop(
 /// echo→destination one-way delays on hosts that *are* synchronized.
 #[derive(Debug)]
 pub struct DestinationCollector {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    wake: Option<WakeHandle>,
     received: Arc<Mutex<Vec<ProbePacket>>>,
-    handle: Option<JoinHandle<()>>,
+    thread: ServerThread,
 }
 
 impl DestinationCollector {
     /// Bind to `addr` and start collecting.
     pub fn spawn<A: ToSocketAddrs>(addr: A) -> io::Result<DestinationCollector> {
-        let socket = UdpSocket::bind(addr)?;
-        let waiter = ServerWaiter::install(&socket)?;
-        let wake = waiter.wake_handle();
-        let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let received = Arc::new(Mutex::new(Vec::new()));
-        let handle = {
-            let shutdown = Arc::clone(&shutdown);
-            let received = Arc::clone(&received);
-            std::thread::spawn(move || {
-                let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for dest timestamps
-                let mut buf = [0u8; 2048];
-                let mut events = Events::with_capacity(4);
-                while !shutdown.load(Ordering::SeqCst) {
-                    let len = match socket.recv(&mut buf) {
-                        Ok(l) => l,
-                        Err(e) if ServerWaiter::is_idle(&e) => {
-                            if waiter.park(&mut events) {
-                                continue;
-                            }
-                            break;
-                        }
-                        Err(_) => break,
-                    };
-                    if let Ok(mut probe) = ProbePacket::decode(&buf[..len]) {
-                        probe.dest_ts = monotonic_micros(epoch);
-                        received.lock().expect("lock poisoned").push(probe);
-                    }
-                }
-            })
-        };
-        Ok(DestinationCollector {
-            local_addr,
-            shutdown,
-            wake,
-            received,
-            handle: Some(handle),
-        })
+        let sink = Arc::clone(&received);
+        let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) real probe epoch for dest timestamps
+        let thread = ServerThread::spawn(addr, move |_, bytes, _| {
+            if let Ok(mut probe) = ProbePacket::decode(bytes) {
+                probe.dest_ts = monotonic_micros(epoch);
+                sink.lock().expect("lock poisoned").push(probe);
+            }
+        })?;
+        Ok(DestinationCollector { received, thread })
     }
 
     /// The bound address to hand to [`EchoServer::spawn_forwarding`].
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.thread.local_addr
     }
 
     /// Probes collected so far (stamped with the destination clock).
@@ -353,44 +286,27 @@ impl DestinationCollector {
 
     /// Stop the collector and return everything it received.
     pub fn shutdown(mut self) -> Vec<ProbePacket> {
-        signal_shutdown(&self.shutdown, self.wake.as_ref());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.thread.stop();
         std::mem::take(&mut *self.received.lock().expect("lock poisoned"))
-    }
-}
-
-impl Drop for DestinationCollector {
-    fn drop(&mut self) {
-        signal_shutdown(&self.shutdown, self.wake.as_ref());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
 /// Fire-and-forget sender for the three-host topology: sends `count`
 /// probes at `interval` toward the echo host and returns the number sent
 /// (delivery is observed at the [`DestinationCollector`]).
+///
+/// One [`Reactor`] session with no drain linger: replies are not expected
+/// (the echo host forwards them), so the session resolves as soon as its
+/// last probe leaves.
+///
+/// # Panics
+/// Panics on a zero `interval` or a `count` beyond the 32-bit sequence
+/// space (see [`Reactor::new`]).
 pub fn send_probes_via(echo: SocketAddr, count: usize, interval: Duration) -> io::Result<usize> {
-    let socket = UdpSocket::bind(("0.0.0.0", 0))?;
-    socket.connect(echo)?;
-    let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real probe epoch for send timestamps
-    let start = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-    let mut sent = 0;
-    for n in 0..count {
-        let target = start + interval * n as u32;
-        let now = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        let probe = ProbePacket::outgoing(n as u32, monotonic_micros(epoch));
-        if socket.send(&probe.to_bytes()).is_ok() {
-            sent += 1;
-        }
-    }
-    Ok(sent)
+    let spec = single_session(echo, interval, count, 0);
+    let (reactor, _handle) = Reactor::new(vec![spec], single_session_config(Duration::ZERO))?;
+    let report = reactor.run(|_| {})?;
+    Ok(usize::try_from(report.stats.probes_sent).expect("probes sent is bounded by count"))
 }
 
 /// Outcome of a real probing run beyond the series itself.
@@ -428,14 +344,9 @@ pub fn run_probes(
 /// sees exactly the records of the returned series, so a streaming fold
 /// matches a batch analysis of that series byte-for-byte.
 ///
-/// Since the live-engine rewire this runs on the `probenet-live` reactor
-/// (a one-session [`Reactor`]): same records, same accounting, but the
-/// pacing comes from the timer wheel instead of sleep slicing, which is
-/// what lets callers hold thousands of these sessions on one core. On
-/// platforms without epoll it transparently falls back to
-/// [`run_probes_with_sink_legacy`]; that reference implementation also
-/// stays available directly, and the reactor-vs-thread differential test
-/// pins the two paths to equivalent reports.
+/// This runs on the `probenet-live` reactor as one session on a dedicated
+/// lane socket, paced by the reactor's timer wheel. Like every real-UDP
+/// path here it is Linux-only: elsewhere it returns `Unsupported`.
 pub fn run_probes_with_sink<F: FnMut(probenet_stream::StreamRecord)>(
     server: SocketAddr,
     config: &ExperimentConfig,
@@ -446,43 +357,13 @@ pub fn run_probes_with_sink<F: FnMut(probenet_stream::StreamRecord)>(
         config.payload_bytes as usize, PROBE_PAYLOAD_BYTES,
         "the wire format carries exactly the 32-byte NetDyn payload"
     );
-    match run_probes_reactor(server, config, drain, &mut sink) {
-        Ok(result) => Ok(result),
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-            run_probes_with_sink_legacy(server, config, drain, sink)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// The reactor-backed implementation behind [`run_probes_with_sink`]: one
-/// session, one dedicated lane socket, records rebuilt into the same
-/// [`RttSeries`] shape the thread prober returns.
-fn run_probes_reactor<F: FnMut(probenet_stream::StreamRecord)>(
-    server: SocketAddr,
-    config: &ExperimentConfig,
-    drain: Duration,
-    sink: &mut F,
-) -> io::Result<(RttSeries, ProbeRunStats)> {
-    let interval = Duration::from_nanos(config.interval.as_nanos());
-    let spec = SessionSpec {
-        key: SessionKey {
-            path: "netdyn/live".to_string(),
-            delta_ns: config.interval.as_nanos(),
-            seed: 0,
-        },
-        target: server,
-        interval,
-        count: config.count,
-        start_offset: Duration::ZERO,
-        clock_resolution_ns: config.clock_resolution.as_nanos(),
-    };
-    let live_config = LiveConfig {
-        drain,
-        sessions_per_lane: 1,
-        ..LiveConfig::default()
-    };
-    let (reactor, _handle) = Reactor::new(vec![spec], live_config)?;
+    let spec = single_session(
+        server,
+        Duration::from_nanos(config.interval.as_nanos()),
+        config.count,
+        config.clock_resolution.as_nanos(),
+    );
+    let (reactor, _handle) = Reactor::new(vec![spec], single_session_config(drain))?;
     let mut outcome = None;
     reactor.run(|o| outcome = Some(o))?;
     let outcome = outcome.expect("the reactor resolves every session it was given");
@@ -515,115 +396,39 @@ fn run_probes_reactor<F: FnMut(probenet_stream::StreamRecord)>(
     ))
 }
 
-/// The original thread-inline implementation of [`run_probes_with_sink`]:
-/// a blocking pacing loop on a connected socket. Kept as the reference the
-/// reactor path is differentially tested against, and as the working
-/// fallback on platforms without epoll.
-pub fn run_probes_with_sink_legacy<F: FnMut(probenet_stream::StreamRecord)>(
-    server: SocketAddr,
-    config: &ExperimentConfig,
-    drain: Duration,
-    mut sink: F,
-) -> io::Result<(RttSeries, ProbeRunStats)> {
-    assert_eq!(
-        config.payload_bytes as usize, PROBE_PAYLOAD_BYTES,
-        "the wire format carries exactly the 32-byte NetDyn payload"
-    );
-    let socket = UdpSocket::bind(("0.0.0.0", 0))?;
-    socket.connect(server)?;
-    socket.set_nonblocking(true)?;
-
-    let epoch = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real probe epoch for RTT timestamps
-    let interval = Duration::from_nanos(config.interval.as_nanos());
-    let mut rtts: Vec<Option<u64>> = vec![None; config.count];
-    let mut echoes: Vec<Option<u64>> = vec![None; config.count];
-    let mut stats = ProbeRunStats::default();
-    let mut buf = [0u8; 2048];
-
-    let mut receive = |rtts: &mut Vec<Option<u64>>,
-                       echoes: &mut Vec<Option<u64>>,
-                       stats: &mut ProbeRunStats| loop {
-        match socket.recv(&mut buf) {
-            Ok(len) => match ProbePacket::decode(&buf[..len]) {
-                Ok(mut probe) => {
-                    probe.dest_ts = monotonic_micros(epoch);
-                    let n = probe.seq as usize;
-                    if n >= rtts.len() {
-                        stats.decode_errors += 1;
-                        continue;
-                    }
-                    if rtts[n].is_some() {
-                        stats.duplicates += 1;
-                        continue;
-                    }
-                    rtts[n] = Some(probe.rtt_micros() * 1_000); // µs -> ns
-                                                                // Echo-host clock reading; comparable to sent_at only
-                                                                // under synchronized clocks (see RttRecord::echoed_at).
-                    echoes[n] = Some(probe.echo_ts.as_micros() * 1_000);
-                }
-                Err(_) => stats.decode_errors += 1,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) => {
-                // Treat transient errors (e.g. ICMP-induced ECONNREFUSED on
-                // some platforms) as "nothing received".
-                let _ = e;
-                break;
-            }
-        }
-    };
-
-    let start = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-    for n in 0..config.count {
-        let target = start + interval * n as u32;
-        // Service the receive queue while waiting for the send slot.
-        loop {
-            let now = Instant::now(); // probenet-lint: allow(wall-clock-in-sim) real pacing clock
-            if now >= target {
-                break;
-            }
-            receive(&mut rtts, &mut echoes, &mut stats);
-            let remaining = target - now;
-            std::thread::sleep(remaining.min(Duration::from_micros(200)));
-        }
-        let probe = ProbePacket::outgoing(n as u32, monotonic_micros(epoch));
-        let _ = socket.send(&probe.to_bytes());
-    }
-    // Drain stragglers.
-    let deadline = Instant::now() + drain; // probenet-lint: allow(wall-clock-in-sim) straggler drain timeout on the real socket
-    while Instant::now() < deadline {
-        receive(&mut rtts, &mut echoes, &mut stats);
-        std::thread::sleep(Duration::from_micros(500));
-    }
-
-    let resolution = config.clock_resolution;
-    let records: Vec<RttRecord> = rtts
-        .into_iter()
-        .enumerate()
-        .map(|(n, rtt)| RttRecord {
-            seq: n as u64,
-            sent_at: config.interval.as_nanos() * n as u64,
-            echoed_at: echoes[n],
-            rtt: rtt.map(|ns| quantize_ns(ns, resolution)),
-        })
-        .collect();
-    for record in &records {
-        sink(record.to_stream());
-    }
-    Ok((
-        RttSeries::new(config.interval, config.wire_bytes(), resolution, records),
-        stats,
-    ))
-}
-
-fn quantize_ns(ns: u64, resolution: SimDuration) -> u64 {
-    match resolution.as_nanos() {
-        0 => ns,
-        r => ns / r * r,
+/// The one probe session behind [`run_probes_with_sink`] and
+/// [`send_probes_via`].
+fn single_session(
+    target: SocketAddr,
+    interval: Duration,
+    count: usize,
+    clock_resolution_ns: u64,
+) -> SessionSpec {
+    SessionSpec {
+        key: SessionKey {
+            path: "netdyn/live".to_string(),
+            delta_ns: u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX),
+            seed: 0,
+        },
+        target,
+        interval,
+        count,
+        start_offset: Duration::ZERO,
+        clock_resolution_ns,
     }
 }
 
-#[cfg(test)]
+/// A reactor holding one session on its own untagged lane socket, so the
+/// probe sequence numbers on the wire are plain `0..count`.
+fn single_session_config(drain: Duration) -> LiveConfig {
+    LiveConfig {
+        drain,
+        sessions_per_lane: 1,
+        ..LiveConfig::default()
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use probenet_sim::SimDuration;

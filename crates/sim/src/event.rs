@@ -47,10 +47,10 @@
 //! [`EventQueue::pop_in_bucket`]) check out a bucket once and drain it
 //! without re-touching the ring index per event — the engine's hot loop.
 //!
-//! The original `BinaryHeap` implementation is retained as
-//! [`reference::BinaryHeapQueue`] and pinned against this one by
+//! The original `BinaryHeap` implementation is retained, test-only, as
+//! `reference::BinaryHeapQueue` and pinned against this one by the
 //! differential tests below (including a property test that hammers epoch
-//! boundaries; see `crates/sim/tests/properties.rs`).
+//! boundaries).
 //!
 //! Buffers are reused across [`EventQueue::clear`], so a reset queue
 //! schedules and pops without fresh allocation.
@@ -484,12 +484,11 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original comparison-based implementation, kept as a reference
-/// oracle: the differential tests pin the indexed queue's pop order to it
-/// (including across epoch boundaries; see
-/// `crates/sim/tests/properties.rs`), and `benches/simulator.rs` races the
-/// two.
-pub mod reference {
+/// The original comparison-based implementation, kept as a test-only
+/// oracle: the differential tests pin the indexed queue's pop order to it,
+/// including across epoch boundaries.
+#[cfg(test)]
+mod reference {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -604,6 +603,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -870,6 +870,62 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The indexed bucket queue agrees with the reference binary heap on
+        /// arbitrary schedule/pop interleavings that straddle epoch boundaries
+        /// (offsets span within-bucket, within-ring, and spill-range jumps).
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn prop_event_queue_matches_heap_reference(
+            ops in proptest::collection::vec(
+                // (schedule?, offset-class, offset, keyed?, lane)
+                (any::<bool>(), 0u8..3, 0u64..1 << 30, any::<bool>(), 0u64..1 << 20),
+                1..400,
+            ),
+        ) {
+            use reference::BinaryHeapQueue;
+            let mut fast: EventQueue<u32> = EventQueue::new();
+            let mut reference: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
+            let mut ticket = 0u32;
+            for (do_schedule, class, offset, keyed, lane) in ops {
+                if do_schedule || fast.is_empty() {
+                    // Class 0 stays inside one bucket (2^18 ns), class 1 inside
+                    // the ring (2^30 ns), class 2 forces the spill vector — the
+                    // epoch boundary is crossed both ways as the clock drains.
+                    let scaled = match class {
+                        0 => offset & ((1 << 18) - 1),
+                        1 => offset,
+                        _ => offset << 7,
+                    };
+                    let at = SimTime::from_nanos(fast.now().as_nanos().saturating_add(scaled));
+                    if keyed {
+                        // Unique per packet, like real packet-id lanes; ties
+                        // between identical (time, lane) pairs would be
+                        // legitimately ambiguous.
+                        let lane = (lane << 32) | u64::from(ticket);
+                        fast.schedule_keyed(at, lane, ticket);
+                        reference.schedule_keyed(at, lane, ticket);
+                    } else {
+                        fast.schedule(at, ticket);
+                        reference.schedule(at, ticket);
+                    }
+                    ticket += 1;
+                } else {
+                    prop_assert_eq!(fast.peek_time(), reference.peek_time());
+                    prop_assert_eq!(fast.pop(), reference.pop());
+                    prop_assert_eq!(fast.now(), reference.now());
+                }
+                prop_assert_eq!(fast.len(), reference.len());
+            }
+            while let Some(got) = fast.pop() {
+                prop_assert_eq!(Some(got), reference.pop());
+            }
+            prop_assert!(reference.is_empty());
         }
     }
 }

@@ -451,61 +451,6 @@ fn duplicates_surface_as_repeated_sequence_numbers() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The indexed bucket queue agrees with the reference binary heap on
-    /// arbitrary schedule/pop interleavings that straddle epoch boundaries
-    /// (offsets span within-bucket, within-ring, and spill-range jumps).
-    #[test]
-    fn prop_event_queue_matches_heap_reference(
-        ops in proptest::collection::vec(
-            // (schedule?, offset-class, offset, keyed?, lane)
-            (any::<bool>(), 0u8..3, 0u64..1 << 30, any::<bool>(), 0u64..1 << 20),
-            1..400,
-        ),
-    ) {
-        use probenet_sim::{BinaryHeapQueue, EventQueue};
-        let mut fast: EventQueue<u32> = EventQueue::new();
-        let mut reference: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
-        let mut ticket = 0u32;
-        for (do_schedule, class, offset, keyed, lane) in ops {
-            if do_schedule || fast.is_empty() {
-                // Class 0 stays inside one bucket (2^18 ns), class 1 inside
-                // the ring (2^30 ns), class 2 forces the spill vector — the
-                // epoch boundary is crossed both ways as the clock drains.
-                let scaled = match class {
-                    0 => offset & ((1 << 18) - 1),
-                    1 => offset,
-                    _ => offset << 7,
-                };
-                let at = SimTime::from_nanos(fast.now().as_nanos().saturating_add(scaled));
-                if keyed {
-                    // Unique per packet, like real packet-id lanes; ties
-                    // between identical (time, lane) pairs would be
-                    // legitimately ambiguous.
-                    let lane = (lane << 32) | u64::from(ticket);
-                    fast.schedule_keyed(at, lane, ticket);
-                    reference.schedule_keyed(at, lane, ticket);
-                } else {
-                    fast.schedule(at, ticket);
-                    reference.schedule(at, ticket);
-                }
-                ticket += 1;
-            } else {
-                prop_assert_eq!(fast.peek_time(), reference.peek_time());
-                prop_assert_eq!(fast.pop(), reference.pop());
-                prop_assert_eq!(fast.now(), reference.now());
-            }
-            prop_assert_eq!(fast.len(), reference.len());
-        }
-        while let Some(got) = fast.pop() {
-            prop_assert_eq!(Some(got), reference.pop());
-        }
-        prop_assert!(reference.is_empty());
-    }
-}
-
 /// Non-proptest regression: drops carry the right reason at the right port.
 #[test]
 fn drop_records_identify_the_bottleneck() {

@@ -1,18 +1,18 @@
 //! Live-reactor integration contracts: a 1,000-session loopback soak into
-//! one streaming collector (the tentpole's sessions-per-core claim plus
-//! exact drop accounting), and the reactor-vs-legacy differential that
-//! pins the two probe drivers to equivalent reports.
+//! one streaming collector (the sessions-per-core claim plus exact drop
+//! accounting), and a seeded closed-form oracle that pins the probe
+//! driver's per-sequence loss report.
 
 #![cfg(target_os = "linux")]
 
 use std::time::Duration;
 
 use probenet::live::{run_sessions, LiveConfig, SessionSpec};
-use probenet::netdyn::{
-    run_probes_with_sink, run_probes_with_sink_legacy, EchoServer, ExperimentConfig,
-};
+use probenet::netdyn::{run_probes_with_sink, EchoServer, ExperimentConfig};
 use probenet::sim::SimDuration;
 use probenet::stream::{BankConfig, Collector, CollectorConfig, SessionKey, SessionProducer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn thousand_session_soak_balances_drop_accounting() {
@@ -104,73 +104,66 @@ fn thousand_session_soak_balances_drop_accounting() {
     server.shutdown();
 }
 
-/// The reactor-backed and the legacy thread-per-session drivers are two
-/// implementations of the same measurement. Against echo servers that drop
-/// probes with the same seeded Bernoulli stream, arrival order on loopback
-/// is send order, so both drivers must report the *same* per-sequence loss
-/// pattern — not merely similar rates.
+/// Seed of the echo server's Bernoulli drop stream and of the oracle that
+/// predicts it.
+const LOSS_SEED: u64 = 42;
+
+/// A closed-form oracle for the probe driver's loss report. The lossy echo
+/// server draws one `StdRng::seed_from_u64(seed)` uniform per probe in
+/// arrival order, and on loopback arrival order is send order, so probe
+/// `n` is dropped exactly when draw `n` falls below the drop probability.
+/// The driver must report that set sequence by sequence, not merely a
+/// similar rate.
 #[test]
-fn reactor_and_legacy_drivers_report_equivalent_loss() {
+fn seeded_echo_loss_matches_the_closed_form_oracle() {
     const PROBES: usize = 200;
+    const DROP_PROBABILITY: f64 = 0.25;
     let config = ExperimentConfig::quick(SimDuration::from_millis(2), PROBES);
-    let drain = Duration::from_millis(400);
 
-    // Two servers with identical loss streams: each driver consumes its
-    // own RNG sequence from the same seed.
-    let server_a = EchoServer::spawn_with_loss("127.0.0.1:0", 0.25, 42).expect("bind echo server");
-    let server_b = EchoServer::spawn_with_loss("127.0.0.1:0", 0.25, 42).expect("bind echo server");
-
-    let mut reactor_sink = Vec::new();
-    let (reactor_series, reactor_stats) =
-        run_probes_with_sink(server_a.local_addr(), &config, drain, |r| {
-            reactor_sink.push(r)
-        })
-        .expect("reactor run");
-    let mut legacy_sink = Vec::new();
-    let (legacy_series, legacy_stats) =
-        run_probes_with_sink_legacy(server_b.local_addr(), &config, drain, |r| {
-            legacy_sink.push(r)
-        })
-        .expect("legacy run");
-    server_a.shutdown();
-    server_b.shutdown();
-
-    assert_eq!(reactor_series.len(), PROBES);
-    assert_eq!(legacy_series.len(), PROBES);
-
-    // Identical loss pattern, sequence by sequence.
-    let reactor_lost: Vec<u64> = reactor_series
-        .records
-        .iter()
-        .filter(|r| r.rtt.is_none())
-        .map(|r| r.seq)
+    let mut rng = StdRng::seed_from_u64(LOSS_SEED);
+    let expected_lost: Vec<u64> = (0..PROBES as u64)
+        .filter(|_| rng.gen::<f64>() < DROP_PROBABILITY)
         .collect();
-    let legacy_lost: Vec<u64> = legacy_series
+    // The pattern is only a meaningful oracle if it loses some but not all.
+    assert!(
+        !expected_lost.is_empty() && expected_lost.len() < PROBES,
+        "loss injection produced a degenerate pattern: {} lost",
+        expected_lost.len()
+    );
+
+    let server = EchoServer::spawn_with_loss("127.0.0.1:0", DROP_PROBABILITY, LOSS_SEED)
+        .expect("bind echo server");
+    let mut sink = Vec::new();
+    let (series, stats) = run_probes_with_sink(
+        server.local_addr(),
+        &config,
+        Duration::from_millis(400),
+        |r| sink.push(r),
+    )
+    .expect("probe run");
+    let echo = server.stats();
+    server.shutdown();
+
+    assert_eq!(series.len(), PROBES);
+    let lost: Vec<u64> = series
         .records
         .iter()
         .filter(|r| r.rtt.is_none())
         .map(|r| r.seq)
         .collect();
     assert_eq!(
-        reactor_lost, legacy_lost,
-        "drivers disagree on which probes the seeded echo dropped"
+        lost, expected_lost,
+        "the driver disagrees with the seeded echo's drop stream"
     );
-    // The seeded Bernoulli(0.25) stream over 200 probes loses some but
-    // not all — the comparison above is only meaningful if it did.
-    assert!(
-        !reactor_lost.is_empty() && reactor_lost.len() < PROBES,
-        "loss injection produced a degenerate pattern: {} lost",
-        reactor_lost.len()
-    );
+    assert_eq!(echo.dropped, expected_lost.len() as u64);
+    assert_eq!(echo.decode_errors, 0);
+    assert_eq!((stats.duplicates, stats.decode_errors), (0, 0));
 
-    assert_eq!(reactor_stats.duplicates, legacy_stats.duplicates);
-    assert_eq!(reactor_stats.decode_errors, legacy_stats.decode_errors);
-
-    // Both sinks carry the full record stream in sequence order.
-    assert_eq!(reactor_sink.len(), PROBES);
-    assert_eq!(legacy_sink.len(), PROBES);
-    for (a, b) in reactor_sink.iter().zip(&legacy_sink) {
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.rtt_ns.is_some(), b.rtt_ns.is_some());
+    // The sink carries the series' records in sequence order, losses
+    // included.
+    assert_eq!(sink.len(), PROBES);
+    for (streamed, record) in sink.iter().zip(&series.records) {
+        assert_eq!(streamed.seq, record.seq);
+        assert_eq!(streamed.rtt_ns, record.rtt);
     }
 }

@@ -2,12 +2,13 @@
 //! echo server, actual UDP datagrams, and the full §4/§5 analysis on the
 //! measured series.
 //!
-//! These scenarios run on the epoll reactor harness (`probenet-live`)
-//! under the hood: [`run_probes`] paces sends off the reactor's timer
-//! wheel and sweeps the socket once more before declaring losses, instead
-//! of the legacy sleep-loop pacing whose scheduling jitter made loopback
-//! delivery counts flake under load. `tests/live_soak.rs` pins the two
-//! drivers to byte-equivalent loss reports.
+//! [`run_probes`] runs on the epoll reactor (`probenet-live`): sends are
+//! paced off the reactor's timer wheel, and the socket is swept once more
+//! before losses are declared. Real-UDP probing is Linux-only, like
+//! `tests/live_soak.rs`, which pins the driver's per-sequence loss report
+//! to a seeded closed-form oracle.
+
+#![cfg(target_os = "linux")]
 
 use std::time::Duration;
 
