@@ -718,6 +718,12 @@ struct BenchEngine {
     events_per_sec: f64,
     min_of_iters: u64,
     peak_queue_depth: u64,
+    /// Partitions the engine ran on: the default width,
+    /// `effective_threads()`, capped by the links the path can be cut at.
+    partitions: u64,
+    /// Mailbox condvar waits that blocked per thousand events (0 for a
+    /// serial run): what the partitioned engine pays in parking.
+    mailbox_parks_per_kevent: f64,
 }
 
 #[derive(Serialize)]
@@ -778,10 +784,12 @@ const LIVE_BENCH_DELTA_MS: u64 = 20;
 /// Probes per session of the `live_engine` measurement.
 const LIVE_BENCH_COUNT: usize = 50;
 
-/// Serial engine throughput on the representative δ = 50 ms INRIA→UMd
-/// run: events over the minimum per-iteration engine wall across `iters`
-/// warm runs (one discarded warm-up run first). The minimum filters out
-/// VM steal/frequency noise that inflates any averaging statistic.
+/// Engine throughput on the representative δ = 50 ms INRIA→UMd run, at
+/// the default partition count (`effective_threads()`, so partitioned on
+/// a multi-core host): events over the minimum per-iteration engine wall
+/// across `iters` warm runs (one discarded warm-up run first). The minimum
+/// filters out VM steal/frequency noise that inflates any averaging
+/// statistic.
 fn engine_throughput(span_secs: u64, seed: u64, iters: usize) -> BenchEngine {
     let scenario = probenet_core::PaperScenario::inria_umd(seed);
     let config =
@@ -791,17 +799,25 @@ fn engine_throughput(span_secs: u64, seed: u64, iters: usize) -> BenchEngine {
     let mut best = f64::INFINITY;
     let mut events = 0u64;
     let mut peak = 0u64;
+    let mut partitions = 0u64;
+    let mut parks = 0u64;
     for _ in 0..iters.max(1) {
-        let stats = scenario.run(&config).engine_stats;
+        let (_, run) = scenario.experiment(&config).run();
+        let stats = &run.stats;
         events = stats.events_processed;
         peak = stats.peak_queue_depth as u64;
+        partitions = run.partitions as u64;
+        parks = run.mailbox_parks;
         best = best.min(stats.wall.as_secs_f64());
+        probenet_netdyn::recycle_run(run);
     }
     BenchEngine {
         events_processed: events,
         events_per_sec: events as f64 / best,
         min_of_iters: iters.max(1) as u64,
         peak_queue_depth: peak,
+        partitions,
+        mailbox_parks_per_kevent: parks as f64 * 1e3 / events.max(1) as f64,
     }
 }
 
@@ -850,8 +866,10 @@ fn lint_deep_run() -> Option<LintDeepRun> {
 struct BenchBaseline {
     span_secs: u64,
     seed: u64,
-    /// Min-statistic serial engine throughput committed after the event
-    /// queue overhaul (see EXPERIMENTS.md for methodology).
+    /// Min-statistic engine throughput committed after the event queue
+    /// overhaul (see EXPERIMENTS.md for methodology). It was measured on a
+    /// single-core host, where the default partition count is 1; the gate
+    /// re-measures at the default partition count of the host it runs on.
     engine_events_per_sec: f64,
     /// Fractional drop tolerated before the gate fails (0.30 = 30%),
     /// sized for cross-host variance: CI runners and the development VM
@@ -871,9 +889,11 @@ struct BenchBaseline {
     lint_deep_budget_ms: f64,
 }
 
-/// `--bench-gate`: re-measure serial engine throughput with the same
-/// min-statistic methodology as `--bench-json` and fail (exit 1) if it
-/// dropped more than `max_regression` below the committed baseline.
+/// `--bench-gate`: re-measure engine throughput at the default partition
+/// count (serial on one core, partitioned at `effective_threads()` on
+/// more) with the same min-statistic methodology as `--bench-json`, and
+/// fail (exit 1) if it dropped more than `max_regression` below the
+/// committed baseline.
 fn bench_gate() -> i32 {
     let path = "tests/bench_baseline.json";
     let body = match std::fs::read_to_string(path) {
@@ -893,12 +913,13 @@ fn bench_gate() -> i32 {
     let engine = engine_throughput(baseline.span_secs, baseline.seed, ENGINE_BENCH_ITERS);
     let floor = baseline.engine_events_per_sec * (1.0 - baseline.max_regression);
     println!(
-        "bench-gate: measured {:.2} M events/s (min of {} runs, span {} s, seed {}) \
-         | baseline {:.2} M | floor {:.2} M",
+        "bench-gate: measured {:.2} M events/s (min of {} runs, span {} s, seed {}, \
+         partitions={}) | baseline {:.2} M | floor {:.2} M",
         engine.events_per_sec / 1e6,
         engine.min_of_iters,
         baseline.span_secs,
         baseline.seed,
+        engine.partitions,
         baseline.engine_events_per_sec / 1e6,
         floor / 1e6,
     );

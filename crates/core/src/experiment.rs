@@ -65,9 +65,10 @@ impl PaperScenario {
         (i, spec.bandwidth_bps)
     }
 
-    /// Run the scenario under `config`, returning the measured series and
-    /// summary statistics of what happened inside the network.
-    pub fn run(&self, config: &ExperimentConfig) -> ExperimentOutput {
+    /// The scenario's simulated experiment under `config`: the path with
+    /// calibrated cross traffic attached at its bottleneck in both
+    /// directions, ready to run.
+    pub fn experiment(&self, config: &ExperimentConfig) -> SimExperiment {
         let (bidx, mu) = self.bottleneck();
         // Cross traffic must outlive the probe schedule a little.
         let horizon = config.span() + SimDuration::from_secs(5);
@@ -87,14 +88,20 @@ impl PaperScenario {
         )
         .generate(&mut rng, horizon);
 
-        let (series, run) = SimExperiment::new(
+        SimExperiment::new(
             config.clone(),
             self.path.clone(),
             self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         )
         .with_cross_traffic(bidx, Direction::Outbound, outbound)
         .with_cross_traffic(bidx, Direction::Inbound, inbound)
-        .run();
+    }
+
+    /// Run the scenario under `config`, returning the measured series and
+    /// summary statistics of what happened inside the network.
+    pub fn run(&self, config: &ExperimentConfig) -> ExperimentOutput {
+        let (bidx, mu) = self.bottleneck();
+        let (series, run) = self.experiment(config).run();
 
         let now = run.now;
         let bottleneck_utilization = run.port(bidx, Direction::Outbound).utilization(now);

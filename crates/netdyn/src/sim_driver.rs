@@ -48,6 +48,9 @@ pub struct SimRun {
     pub links: usize,
     /// How many partitions the run actually used.
     pub partitions: usize,
+    /// Mailbox condvar waits that blocked, summed over partitions (0 for a
+    /// serial run). Scheduling-dependent observability, never a result.
+    pub mailbox_parks: u64,
     /// The serial engine, when one was used (kept so it can be recycled).
     engine: Option<Engine>,
 }
@@ -233,6 +236,7 @@ impl SimExperiment {
                 port_stats,
                 links,
                 partitions: 1,
+                mailbox_parks: 0,
                 engine: Some(engine),
             }
         } else {
@@ -276,6 +280,7 @@ impl SimExperiment {
                 port_stats: out.port_stats,
                 links: self.path.links.len(),
                 partitions: out.partitions,
+                mailbox_parks: out.mailbox_parks,
                 engine: None,
             }
         };

@@ -24,11 +24,16 @@
 //! window flows, which can turn traffic around at node 0, are not used in
 //! partitioned runs). That directional acyclicity lets the guarantee chain
 //! resolve west-to-east and then east-to-west without a cycle, and the
-//! nonzero-propagation invariant (checked at partition time — a zero-
-//! lookahead boundary forces a serial run) gives the classical CMB progress
-//! argument: the partition holding the globally minimal event always has a
-//! safe horizon strictly beyond it, so the system never deadlocks. See
-//! DESIGN.md §13 for the full argument.
+//! nonzero-propagation invariant (the partition plan never cuts a
+//! zero-lookahead link) gives the classical CMB progress argument: the
+//! partition holding the globally minimal event always has a safe horizon
+//! strictly beyond it, so the system never deadlocks. See DESIGN.md §13 for
+//! the full argument.
+//!
+//! Where the path is cut is a performance choice only: the plan cuts at the
+//! longest-lookahead links (see `partition_plan` for the cost model), so
+//! partitions exchange few null messages and rarely park on their
+//! mailboxes.
 //!
 //! Determinism does not depend on scheduling: cross-boundary arrivals are
 //! ordered by packet id (content-derived, identical in serial runs),
@@ -44,7 +49,7 @@ use crate::engine::{Engine, EngineStats, RemoteArrival};
 use crate::packet::{Delivery, Direction, DropRecord, PacketId, TtlExceeded};
 use crate::path::{LinkSpec, Path};
 use crate::queue::PortStats;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Number of worker threads the environment asks for: `PROBENET_THREADS`
 /// when set (minimum 1), otherwise the host's available parallelism.
@@ -147,34 +152,66 @@ pub struct ParallelOutcome {
     /// Per-port statistics in global port-index order (`2 * links`), each
     /// taken from the partition that owns the port.
     pub port_stats: Vec<PortStats>,
-    /// Partition count actually used (1 when a zero-lookahead boundary or a
-    /// short path forced a serial run).
+    /// Partition count actually used (1 when no link has positive
+    /// lookahead or `threads <= 1`).
     pub partitions: usize,
+    /// Mailbox condvar waits that blocked, summed over partitions (0 for a
+    /// serial run). Depends on thread scheduling, so it is observability
+    /// only and never part of a result.
+    pub mailbox_parks: u64,
 }
 
 /// The smallest propagation delay link `spec` can ever have, accounting for
 /// scheduled route shifts — the value a lookahead bound must use.
-fn min_propagation_ns(spec: &LinkSpec) -> u64 {
-    let mut m = spec.propagation;
-    for shift in &spec.impair.route_shifts {
-        if shift.propagation < m {
-            m = shift.propagation;
-        }
-    }
-    m.as_nanos()
+fn min_propagation(spec: &LinkSpec) -> SimDuration {
+    spec.impair
+        .route_shifts
+        .iter()
+        .map(|s| s.propagation)
+        .fold(spec.propagation, SimDuration::min)
 }
 
-/// Split `nodes` into `k` contiguous, non-empty, near-equal ranges.
-fn node_ranges(nodes: usize, k: usize) -> Vec<Range<usize>> {
-    let base = nodes / k;
-    let extra = nodes % k;
-    let mut ranges = Vec::with_capacity(k);
+/// Contiguous node ranges for running `path` on up to `threads` partitions —
+/// a pure function of `(path, threads)`.
+///
+/// Cost model: a partition may run ahead of its neighbour only by the
+/// boundary link's lookahead (its minimum propagation delay), so the number
+/// of synchronization rounds scales as horizon / lookahead, and the smallest
+/// boundary lookahead sets the pace for every partition. The plan cuts the
+/// `threads − 1` links with the longest positive lookahead (the lowest link
+/// index wins a tie), which maximises the minimum boundary lookahead. It
+/// never cuts a zero-lookahead link, which could not make progress, so it
+/// runs serially only when no link has positive lookahead.
+///
+/// Cutting link `l` ends a range at node `l` and starts the next at
+/// `l + 1`. On [`Path::inria_umd_1992`] at `threads == 2` the only cut is
+/// the transatlantic bottleneck, link 4 (49.75 ms of lookahead), which also
+/// puts its outbound and inbound ports in different partitions.
+fn partition_plan(path: &Path, threads: usize) -> Vec<Range<usize>> {
+    let mut by_lookahead: Vec<(SimDuration, usize)> = path
+        .links
+        .iter()
+        .map(min_propagation)
+        .zip(0..)
+        .filter(|&(lookahead, _)| lookahead > SimDuration::ZERO)
+        .collect();
+    by_lookahead.sort_unstable_by_key(|&(lookahead, l)| (std::cmp::Reverse(lookahead), l));
+    let mut cuts: Vec<usize> = by_lookahead
+        .into_iter()
+        .take(threads.saturating_sub(1))
+        .map(|(_, l)| l)
+        .collect();
+    cuts.sort_unstable();
     let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
+    let mut ranges: Vec<Range<usize>> = cuts
+        .into_iter()
+        .map(|l| {
+            let range = start..l + 1;
+            start = l + 1;
+            range
+        })
+        .collect();
+    ranges.push(start..path.nodes.len());
     ranges
 }
 
@@ -203,14 +240,15 @@ fn post(target: &Mailbox, msgs: Vec<RemoteArrival>, set_clock: impl FnOnce(&mut 
 
 /// Drive one partition until global quiescence. `lookahead_west`/`_east`
 /// are the boundary links' minimum propagation delays in nanoseconds
-/// (unused when the corresponding neighbor is absent).
+/// (unused when the corresponding neighbor is absent). Returns how many
+/// times the partition parked on its mailbox condvar.
 fn partition_loop(
     engine: &mut Engine,
     idx: usize,
     lookahead_west: u64,
     lookahead_east: u64,
     boxes: &[Mailbox],
-) {
+) -> u64 {
     let me = &boxes[idx];
     let west = idx.checked_sub(1).map(|i| &boxes[i]);
     let east = boxes.get(idx + 1);
@@ -221,10 +259,12 @@ fn partition_loop(
     let mut announced_east = 0u64;
     // Force the first pass through without waiting.
     let mut seen_gen = u64::MAX;
+    let mut parks = 0u64;
     loop {
         let (msgs, g_west, g_east) = {
             let mut inbox = me.0.lock().expect("mailbox poisoned");
             while inbox.gen == seen_gen {
+                parks += 1;
                 inbox = me.1.wait(inbox).expect("mailbox poisoned");
             }
             seen_gen = inbox.gen;
@@ -274,14 +314,15 @@ fn partition_loop(
         // Quiescent: both neighbors are done forever and nothing is left
         // locally. The final announcements above were `u64::MAX`.
         if g_west == u64::MAX && g_east == u64::MAX && peek == u64::MAX {
-            break;
+            return parks;
         }
     }
 }
 
-/// Execute `plan` over `path`, split into at most `threads` partitions.
+/// Execute `plan` over `path`, split into at most `threads` partitions at
+/// its longest-lookahead links.
 ///
-/// With `threads <= 1`, a short path, or a zero-lookahead boundary, this
+/// With `threads <= 1`, or when no link has positive lookahead, this
 /// degenerates to a plain serial run; the outcome is **identical** either
 /// way (up to the stated record ordering), which the determinism and
 /// golden-trace suites pin down.
@@ -291,19 +332,8 @@ pub fn run_partitioned(
     plan: &InjectionPlan,
     threads: usize,
 ) -> ParallelOutcome {
-    let nodes = path.nodes.len();
-    let mut k = threads.clamp(1, nodes);
-    let mut ranges = node_ranges(nodes, k);
-    // The nonzero-propagation invariant: every boundary link must provide
-    // strictly positive lookahead, or conservative synchronization cannot
-    // make progress — fall back to a serial run.
-    if ranges[1..]
-        .iter()
-        .any(|r| min_propagation_ns(&path.links[r.start - 1]) == 0)
-    {
-        k = 1;
-        ranges = node_ranges(nodes, 1);
-    }
+    let ranges = partition_plan(path, threads);
+    let k = ranges.len();
 
     let mut engines: Vec<Engine> = if k == 1 {
         vec![Engine::new(path.clone(), seed)]
@@ -341,12 +371,13 @@ pub fn run_partitioned(
     }
 
     let started = std::time::Instant::now(); // probenet-lint: allow(wall-clock-in-sim, tainted-artifact-path) EngineStats wall-time observability, not sim data
-    if k == 1 {
+    let mailbox_parks = if k == 1 {
         engines[0].run();
+        0
     } else {
         let lookahead: Vec<u64> = ranges[1..]
             .iter()
-            .map(|r| min_propagation_ns(&path.links[r.start - 1]))
+            .map(|r| min_propagation(&path.links[r.start - 1]).as_nanos())
             .collect();
         let boxes: Vec<Mailbox> = (0..k)
             .map(|i| {
@@ -367,19 +398,27 @@ pub fn run_partitioned(
         std::thread::scope(|s| {
             let boxes = &boxes;
             let lookahead = &lookahead;
-            for (idx, engine) in engines.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let l_w = if idx == 0 {
-                        u64::MAX
-                    } else {
-                        lookahead[idx - 1]
-                    };
-                    let l_e = lookahead.get(idx).copied().unwrap_or(u64::MAX);
-                    partition_loop(engine, idx, l_w, l_e, boxes);
-                });
-            }
-        });
-    }
+            let workers: Vec<_> = engines
+                .iter_mut()
+                .enumerate()
+                .map(|(idx, engine)| {
+                    s.spawn(move || {
+                        let l_w = if idx == 0 {
+                            u64::MAX
+                        } else {
+                            lookahead[idx - 1]
+                        };
+                        let l_e = lookahead.get(idx).copied().unwrap_or(u64::MAX);
+                        partition_loop(engine, idx, l_w, l_e, boxes)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .sum()
+        })
+    };
     let wall = started.elapsed();
 
     // Merge per-partition results. Every reduction below iterates the
@@ -426,6 +465,7 @@ pub fn run_partitioned(
         },
         port_stats,
         partitions: k,
+        mailbox_parks,
     }
 }
 
@@ -527,21 +567,62 @@ mod tests {
 
     #[test]
     fn partitioned_runs_match_serial_at_all_widths() {
+        // Cross traffic on link 5 (both loaded ports inside one partition
+        // at k = 2) and on the bottleneck, link 4 (its two ports on
+        // opposite sides of the k = 2 cut).
         let path = Path::inria_umd_1992();
-        let plan = plan(400, 8, 5);
-        let serial = run_partitioned(&path, 42, &plan, 1);
-        assert_eq!(serial.partitions, 1);
-        assert!(!serial.deliveries.is_empty());
-        let reference = outcome_fingerprint(&serial);
-        for k in [2usize, 3, 4, 8] {
-            let par = run_partitioned(&path, 42, &plan, k);
-            assert!(par.partitions > 1, "width {k} did not partition");
-            assert_eq!(
-                outcome_fingerprint(&par),
-                reference,
-                "divergence at {k} partitions"
-            );
+        for cross_link in [5usize, 4] {
+            let plan = plan(400, 8, cross_link);
+            let serial = run_partitioned(&path, 42, &plan, 1);
+            assert_eq!(serial.partitions, 1);
+            assert_eq!(serial.mailbox_parks, 0);
+            assert!(!serial.deliveries.is_empty());
+            let reference = outcome_fingerprint(&serial);
+            for k in [2usize, 3, 4, 8] {
+                let par = run_partitioned(&path, 42, &plan, k);
+                assert_eq!(par.partitions, k, "width {k} did not partition");
+                assert_eq!(
+                    outcome_fingerprint(&par),
+                    reference,
+                    "divergence at {k} partitions, cross traffic on link {cross_link}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn paper_path_cuts_at_the_transatlantic_link() {
+        let path = Path::inria_umd_1992();
+        assert_eq!(partition_plan(&path, 1), vec![0..11]);
+        // Link 4 (49.75 ms) is the only cut at k = 2: its outbound port
+        // (node 4) and inbound port (node 5) land in different partitions.
+        assert_eq!(partition_plan(&path, 2), vec![0..5, 5..11]);
+        // Next longest: link 6 (8 ms).
+        assert_eq!(partition_plan(&path, 3), vec![0..5, 5..7, 7..11]);
+        // Third cut: links 2, 5 and 7 tie at 2 ms; the lowest, link 2, wins.
+        assert_eq!(partition_plan(&path, 4), vec![0..3, 3..5, 5..7, 7..11]);
+        // Every link has positive lookahead, so the width caps at the node
+        // count: one node per partition.
+        let all = partition_plan(&path, 64);
+        assert_eq!(all.len(), 11);
+        assert!(all.iter().all(|r| r.len() == 1));
+    }
+
+    #[test]
+    fn plan_breaks_lookahead_ties_toward_the_lowest_link() {
+        let hop = |ms: u64| LinkSpec::new(1_000_000, SimDuration::from_millis(ms));
+        let split = |props: &[u64], threads: usize| {
+            let path = Path::new(
+                (0..=props.len()).map(|i| format!("n{i}")).collect(),
+                props.iter().map(|&p| hop(p)).collect(),
+            );
+            partition_plan(&path, threads)
+        };
+        assert_eq!(split(&[5, 5, 5, 5, 5], 2), vec![0..1, 1..6]);
+        assert_eq!(split(&[5, 5, 5, 5, 5], 3), vec![0..1, 1..2, 2..6]);
+        // Lookahead beats position.
+        assert_eq!(split(&[5, 5, 5, 9, 5], 2), vec![0..4, 4..6]);
+        assert_eq!(split(&[5, 5, 5, 9, 5], 3), vec![0..1, 1..4, 4..6]);
     }
 
     #[test]
@@ -585,7 +666,40 @@ mod tests {
         .with_serial_ids();
         let out = run_partitioned(&path, 1, &plan, 4);
         assert_eq!(out.partitions, 1, "zero lookahead must force serial");
+        assert_eq!(out.mailbox_parks, 0);
         assert_eq!(out.deliveries.len(), 1);
+    }
+
+    #[test]
+    fn zero_lookahead_links_are_never_cut() {
+        use crate::impair::ImpairmentSpec;
+        // Links 0, 2 and 4 have zero lookahead (link 4 only after a route
+        // shift); links 1 and 3 are the only cuts.
+        let ms = SimDuration::from_millis;
+        let path = Path::new(
+            (0..6).map(|i| format!("n{i}")).collect(),
+            vec![
+                LinkSpec::new(1_000_000, SimDuration::ZERO),
+                LinkSpec::new(1_000_000, ms(1)),
+                LinkSpec::new(1_000_000, SimDuration::ZERO),
+                LinkSpec::new(1_000_000, ms(3)),
+                LinkSpec::new(1_000_000, ms(2)).with_impairments(
+                    ImpairmentSpec::none()
+                        .with_route_shift(SimTime::from_millis(40), SimDuration::ZERO),
+                ),
+            ],
+        );
+        assert_eq!(partition_plan(&path, 2), vec![0..4, 4..6]);
+        assert_eq!(partition_plan(&path, 3), vec![0..2, 2..4, 4..6]);
+        // Two positive links allow at most three partitions.
+        assert_eq!(partition_plan(&path, 8).len(), 3);
+        let plan = plan(40, 10, 2);
+        let serial = run_partitioned(&path, 5, &plan, 1);
+        for k in [2usize, 3, 8] {
+            let par = run_partitioned(&path, 5, &plan, k);
+            assert_eq!(par.partitions, k.min(3));
+            assert_eq!(outcome_fingerprint(&par), outcome_fingerprint(&serial));
+        }
     }
 
     #[test]
@@ -627,5 +741,130 @@ mod tests {
         assert_eq!(p.cross[0].base_id, 0);
         assert_eq!(p.cross[1].base_id, 2);
         assert_eq!(p.probes[0].id, 3);
+    }
+
+    /// A random path for the partition plan: `(propagation µs, route shift %)`
+    /// per hop. Propagations below 5 ms become zero, so about a quarter of
+    /// the links have no lookahead; a route shift at 50 ms lowers a link's
+    /// propagation to the given percentage of it (0 % makes it zero too).
+    fn plan_path(hops: &[(u64, Option<u64>)]) -> Path {
+        use crate::impair::ImpairmentSpec;
+        let nodes = (0..=hops.len()).map(|i| format!("n{i}")).collect();
+        let links = hops
+            .iter()
+            .map(|&(prop_us, shift_pct)| {
+                let prop_us = if prop_us < 5_000 { 0 } else { prop_us };
+                let link = LinkSpec::new(2_000_000, SimDuration::from_micros(prop_us));
+                match shift_pct {
+                    Some(pct) => link.with_impairments(ImpairmentSpec::none().with_route_shift(
+                        SimTime::from_millis(50),
+                        SimDuration::from_micros(prop_us * pct / 100),
+                    )),
+                    None => link,
+                }
+            })
+            .collect();
+        Path::new(nodes, links)
+    }
+
+    /// The best minimum boundary lookahead over every choice of `cuts`
+    /// links with positive lookahead, by exhaustive search (`None` if there
+    /// are too few such links).
+    fn max_min_lookahead_oracle(path: &Path, cuts: usize) -> Option<SimDuration> {
+        let links = path.links.len();
+        (0u32..1 << links)
+            .filter(|mask| mask.count_ones() as usize == cuts)
+            .filter_map(|mask| {
+                let chosen = (0..links).filter(|l| mask & (1 << l) != 0);
+                let min = chosen.map(|l| min_propagation(&path.links[l])).min()?;
+                (min > SimDuration::ZERO).then_some(min)
+            })
+            .max()
+    }
+
+    mod plan_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The plan is a valid, lookahead-optimal split: contiguous
+            /// non-empty ranges covering every node, a cut only at links
+            /// with positive lookahead, as many partitions as those links
+            /// allow, and a minimum boundary lookahead equal to the
+            /// exhaustive max-min optimum.
+            #[test]
+            fn plan_is_valid_and_max_min_optimal(
+                hops in proptest::collection::vec((0u64..20_000, proptest::option::of(0u64..=100)), 1..9),
+                threads in 2usize..=8,
+            ) {
+                let path = plan_path(&hops);
+                let plan = partition_plan(&path, threads);
+                let mut next = 0;
+                for r in &plan {
+                    prop_assert_eq!(r.start, next, "ranges not contiguous: {:?}", plan);
+                    prop_assert!(r.end > r.start, "empty range in {:?}", plan);
+                    next = r.end;
+                }
+                prop_assert_eq!(next, path.nodes.len(), "ranges do not cover the path: {:?}", plan);
+                let boundary: Vec<SimDuration> = plan[1..]
+                    .iter()
+                    .map(|r| min_propagation(&path.links[r.start - 1]))
+                    .collect();
+                prop_assert!(
+                    boundary.iter().all(|&l| l > SimDuration::ZERO),
+                    "zero-lookahead cut in {:?}", plan
+                );
+                let positive = path
+                    .links
+                    .iter()
+                    .filter(|l| min_propagation(l) > SimDuration::ZERO)
+                    .count();
+                prop_assert_eq!(plan.len(), threads.min(positive + 1));
+                prop_assert_eq!(
+                    boundary.iter().copied().min(),
+                    max_min_lookahead_oracle(&path, plan.len() - 1)
+                );
+            }
+
+            /// Whatever the plan cuts, the partitioned run equals the
+            /// serial one.
+            #[test]
+            fn planned_partitions_match_serial(
+                hops in proptest::collection::vec((0u64..20_000, proptest::option::of(0u64..=100)), 1..9),
+                threads in 2usize..=8,
+                cross_at in 0usize..8,
+                n_probes in 1u64..60,
+                seed in 0u64..1_000,
+            ) {
+                let path = plan_path(&hops);
+                let mut plan = InjectionPlan::default();
+                for (direction, stride_us) in [(Direction::Outbound, 900u64), (Direction::Inbound, 1300)] {
+                    plan.cross.push(CrossAttachment {
+                        link: cross_at % path.links.len(),
+                        direction,
+                        arrivals: (0..300u32)
+                            .map(|i| (SimTime::from_micros(u64::from(i) * stride_us), 40 + i * 131 % 1460))
+                            .collect(),
+                        base_id: 0,
+                    });
+                }
+                plan.probes = (0..n_probes)
+                    .map(|n| ProbeInjection {
+                        at: SimTime::from_millis(n * 5),
+                        size: 72,
+                        seq: n,
+                        ttl: crate::packet::DEFAULT_TTL,
+                        id: 0,
+                    })
+                    .collect();
+                let plan = plan.with_serial_ids();
+                let serial = run_partitioned(&path, seed, &plan, 1);
+                let par = run_partitioned(&path, seed, &plan, threads);
+                prop_assert_eq!(par.partitions, partition_plan(&path, threads).len());
+                prop_assert_eq!(outcome_fingerprint(&par), outcome_fingerprint(&serial));
+            }
+        }
     }
 }
